@@ -1,8 +1,9 @@
 //! Criterion benchmarks of the real threaded executors: blocking vs
 //! overlapping wall-clock time on scaled-down instances of the paper's
-//! workload, with injected wire latency.
+//! workload, with injected wire latency; plus the cost of verifying an
+//! executor's output grid.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use msgpass::thread_backend::LatencyModel;
 use stencil::dist2d::{run_example1_dist, Decomp2D};
 use stencil::dist3d::{run_paper3d_dist, Decomp3D, ExecMode};
@@ -80,5 +81,46 @@ fn bench_recording(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_dist3d, bench_dist2d, bench_recording);
+/// Verification of one output grid on the repository benchmark's
+/// warm-execute shape (`grid3 16×16×16384 relax3d`, boundary 1): the
+/// bitwise tier's cell-by-cell recurrence check against re-running the
+/// sequential sweep and diffing, which it replaced (and which the fast
+/// tier still pays).
+fn bench_verify(c: &mut Criterion) {
+    use stencil::kernel::Relax3D;
+    use stencil::seq::run_seq3d;
+    use stencil::verify::satisfies_recurrence3d;
+    let d = Decomp3D {
+        nx: 16,
+        ny: 16,
+        nz: 16384,
+        pi: 2,
+        pj: 1,
+        v: 256,
+        boundary: 1.0,
+    };
+    let k = Relax3D::default();
+    let grid = run_seq3d(k, d.nx, d.ny, d.nz, d.boundary);
+    let mut g = c.benchmark_group("verify");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements((d.nx * d.ny * d.nz) as u64));
+    g.bench_function("recurrence_check", |b| {
+        b.iter(|| assert!(satisfies_recurrence3d(k, black_box(d), black_box(&grid))))
+    });
+    g.bench_function("seq_sweep_and_diff", |b| {
+        b.iter(|| {
+            let reference = run_seq3d(k, d.nx, d.ny, d.nz, black_box(d.boundary));
+            assert_eq!(black_box(&grid).max_abs_diff(&reference), 0.0)
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dist3d,
+    bench_dist2d,
+    bench_recording,
+    bench_verify
+);
 criterion_main!(benches);

@@ -354,7 +354,7 @@ fn cmd_threads() {
     // Scaled to 2×2 ranks so the run is meaningful on small machines;
     // the wire latency is injected per message. Each schedule is
     // compiled to an analyzer-approved artifact before a single thread
-    // spawns; execution then verifies against the sequential sweep.
+    // spawns; execution then verifies the grid is the sequential sweep's.
     let d = threads_decomp();
     let block =
         planc::compile(&plan_request(d, ExecMode::Blocking)).expect("shipped plan compiles");
@@ -1681,7 +1681,7 @@ mod perf {
 //
 // The key=value payload is `planc::PlanRequest::parse_kv`'s wire
 // format (workload=grid3 nx=8 ... — see its docs). Execute jobs always
-// verify against the sequential reference. `--smoke` spins the
+// verify their grid (`planc::ExecOptions::verify`). `--smoke` spins the
 // listener on an ephemeral port, drives it with concurrent localhost
 // clients, and exits nonzero unless every job succeeds and the plan
 // cache was hit.

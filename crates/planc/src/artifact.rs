@@ -20,7 +20,56 @@ use stencil::engine::{EngineError, ExecMode};
 use stencil::grid::{Grid2D, Grid3D};
 use stencil::kernel::{Example1, Fused3D, LongestPath3D, Paper3D, Relax3D, Smooth2D};
 use stencil::plan::{self, Compiled2D, Compiled3D};
+use stencil::seq::{run_seq2d, run_seq3d};
+use stencil::verify::{satisfies_recurrence2d, satisfies_recurrence3d};
 use tiling_core::machine::KernelTier;
+
+/// Fast-tier verification tolerance against the sequential reference:
+/// ULP-scale drift from reassociated arithmetic.
+const FAST_TOLERANCE: f32 = 1e-4;
+
+/// Evaluate `$body` with `$k` bound to the value of the 3-D kernel
+/// named by `$name` — one monomorphized arm per kernel.
+macro_rules! with_kernel3 {
+    ($name:expr, |$k:ident| $body:expr) => {
+        match $name {
+            KernelName::Paper3D => {
+                let $k = Paper3D;
+                $body
+            }
+            KernelName::Relax3D => {
+                let $k = Relax3D::default();
+                $body
+            }
+            KernelName::Fused3D => {
+                let $k = Fused3D::default();
+                $body
+            }
+            KernelName::LongestPath3D => {
+                let $k = LongestPath3D;
+                $body
+            }
+            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
+        }
+    };
+}
+
+/// The 2-D counterpart of `with_kernel3!`.
+macro_rules! with_kernel2 {
+    ($name:expr, |$k:ident| $body:expr) => {
+        match $name {
+            KernelName::Example1 => {
+                let $k = Example1;
+                $body
+            }
+            KernelName::Smooth2D => {
+                let $k = Smooth2D::default();
+                $body
+            }
+            k => unreachable!("3-D kernel {k:?} sealed into a 2-D plan"),
+        }
+    };
+}
 
 /// The sealed executable bundle inside an artifact.
 #[derive(Clone, Copy, Debug)]
@@ -34,9 +83,12 @@ pub enum CompiledWorkload {
 /// Execution options.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
-    /// Verify the distributed result against the sequential reference
-    /// (bitwise for [`KernelTier::Bitwise`], epsilon-bounded for
-    /// [`KernelTier::Fast`]).
+    /// Verify the assembled grid after the timed parallel region. On
+    /// [`KernelTier::Bitwise`] every cell is checked against the
+    /// kernel's recurrence — exactly bitwise equality with the
+    /// sequential sweep, at a few percent of its cost, with no reference
+    /// grid allocated. On [`KernelTier::Fast`] the sequential sweep is
+    /// re-run and the grids must agree within `1e-4`.
     pub verify: bool,
 }
 
@@ -216,16 +268,18 @@ impl PlanArtifact {
         opts: ExecOptions,
     ) -> Result<ExecOutcome, EngineError> {
         let cfg = self.stamp(base.clone());
-        match &self.compiled {
+        let kernel = self.request.kernel;
+        let (grid, elapsed, faults) = match &self.compiled {
             CompiledWorkload::Dim3(c) => {
-                let (grid, elapsed, faults) = self.run3(c, &cfg)?;
-                Ok(self.outcome3(grid, elapsed, faults, opts))
+                let (g, elapsed, faults) = with_kernel3!(kernel, |k| plan::run3d_with(k, c, &cfg))?;
+                (GridResult::Dim3(g), elapsed, faults)
             }
             CompiledWorkload::Dim2(c) => {
-                let (grid, elapsed, faults) = self.run2(c, &cfg)?;
-                Ok(self.outcome2(grid, elapsed, faults, opts))
+                let (g, elapsed, faults) = with_kernel2!(kernel, |k| plan::run2d_with(k, c, &cfg))?;
+                (GridResult::Dim2(g), elapsed, faults)
             }
-        }
+        };
+        Ok(self.outcome(grid, elapsed, faults, opts))
     }
 
     /// Execute on a warm world checked out of `pool` (3-D plans; 2-D
@@ -243,123 +297,135 @@ impl PlanArtifact {
         };
         let cfg = self.world_config();
         let mut world = pool.checkout(&cfg, c.ranks());
-        let result = self.run3_on(c, &mut world);
-        match result {
-            Ok((grid, elapsed)) => {
-                pool.checkin(&cfg, world);
-                Ok(self.outcome3(grid, elapsed, Vec::new(), opts))
-            }
-            Err(e) => Err(e), // world dropped: may hold undrained state
-        }
-    }
-
-    fn run3(
-        &self,
-        c: &Compiled3D,
-        cfg: &WorldConfig,
-    ) -> Result<(Grid3D, Duration, Vec<FaultStats>), EngineError> {
-        match self.request.kernel {
-            KernelName::Paper3D => plan::run3d_with(Paper3D, c, cfg),
-            KernelName::Relax3D => plan::run3d_with(Relax3D::default(), c, cfg),
-            KernelName::Fused3D => plan::run3d_with(Fused3D::default(), c, cfg),
-            KernelName::LongestPath3D => plan::run3d_with(LongestPath3D, c, cfg),
-            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
-        }
-    }
-
-    fn run3_on(
-        &self,
-        c: &Compiled3D,
-        world: &mut [msgpass::thread_backend::ThreadComm<f32>],
-    ) -> Result<(Grid3D, Duration), EngineError> {
         let tier = self.request.tier;
-        match self.request.kernel {
-            KernelName::Paper3D => plan::run3d_on_world(Paper3D, c, tier, world),
-            KernelName::Relax3D => plan::run3d_on_world(Relax3D::default(), c, tier, world),
-            KernelName::Fused3D => plan::run3d_on_world(Fused3D::default(), c, tier, world),
-            KernelName::LongestPath3D => plan::run3d_on_world(LongestPath3D, c, tier, world),
-            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
+        // On error the world is dropped: it may hold undrained state.
+        let (grid, elapsed) = with_kernel3!(self.request.kernel, |k| {
+            plan::run3d_on_world(k, c, tier, &mut world)
+        })?;
+        pool.checkin(&cfg, world);
+        Ok(self.outcome(GridResult::Dim3(grid), elapsed, Vec::new(), opts))
+    }
+
+    /// Whether `grid` is this plan's correct result, on the artifact's
+    /// tier. [`KernelTier::Bitwise`] checks every cell against the
+    /// kernel's recurrence over the plan's extents and boundary —
+    /// exactly bitwise equality with the sequential sweep, without
+    /// re-running it (see [`stencil::verify`]). [`KernelTier::Fast`]
+    /// keeps the sweep as the reference with a `1e-4` tolerance: a local
+    /// residual does not bound fast math's accumulated error. A grid of
+    /// the wrong dimensionality or shape is `false` on both tiers.
+    fn verdict(&self, grid: &GridResult) -> bool {
+        let kernel = self.request.kernel;
+        match (self.request.tier, &self.compiled, grid) {
+            (KernelTier::Bitwise, CompiledWorkload::Dim3(c), GridResult::Dim3(g)) => {
+                with_kernel3!(kernel, |k| satisfies_recurrence3d(k, c.decomp(), g))
+            }
+            (KernelTier::Bitwise, CompiledWorkload::Dim2(c), GridResult::Dim2(g)) => {
+                with_kernel2!(kernel, |k| satisfies_recurrence2d(k, c.decomp(), g))
+            }
+            (KernelTier::Fast, CompiledWorkload::Dim3(c), GridResult::Dim3(g)) => {
+                let d = c.decomp();
+                (g.nx(), g.ny(), g.nz()) == (d.nx, d.ny, d.nz)
+                    && g.max_abs_diff(&with_kernel3!(kernel, |k| {
+                        run_seq3d(k, d.nx, d.ny, d.nz, d.boundary)
+                    })) <= FAST_TOLERANCE
+            }
+            (KernelTier::Fast, CompiledWorkload::Dim2(c), GridResult::Dim2(g)) => {
+                let d = c.decomp();
+                (g.nx(), g.ny()) == (d.nx, d.ny)
+                    && g.max_abs_diff(&with_kernel2!(kernel, |k| {
+                        run_seq2d(k, d.nx, d.ny, d.boundary)
+                    })) <= FAST_TOLERANCE
+            }
+            _ => false,
         }
     }
 
-    fn run2(
+    fn outcome(
         &self,
-        c: &Compiled2D,
-        cfg: &WorldConfig,
-    ) -> Result<(Grid2D, Duration, Vec<FaultStats>), EngineError> {
-        match self.request.kernel {
-            KernelName::Example1 => plan::run2d_with(Example1, c, cfg),
-            KernelName::Smooth2D => plan::run2d_with(Smooth2D::default(), c, cfg),
-            k => unreachable!("3-D kernel {k:?} sealed into a 2-D plan"),
-        }
-    }
-
-    fn seq3(&self, d: stencil::dist3d::Decomp3D) -> Grid3D {
-        use stencil::seq::run_seq3d;
-        match self.request.kernel {
-            KernelName::Paper3D => run_seq3d(Paper3D, d.nx, d.ny, d.nz, d.boundary),
-            KernelName::Relax3D => run_seq3d(Relax3D::default(), d.nx, d.ny, d.nz, d.boundary),
-            KernelName::Fused3D => run_seq3d(Fused3D::default(), d.nx, d.ny, d.nz, d.boundary),
-            KernelName::LongestPath3D => run_seq3d(LongestPath3D, d.nx, d.ny, d.nz, d.boundary),
-            k => unreachable!("2-D kernel {k:?} sealed into a 3-D plan"),
-        }
-    }
-
-    fn seq2(&self, d: stencil::dist2d::Decomp2D) -> Grid2D {
-        use stencil::seq::run_seq2d;
-        match self.request.kernel {
-            KernelName::Example1 => run_seq2d(Example1, d.nx, d.ny, d.boundary),
-            KernelName::Smooth2D => run_seq2d(Smooth2D::default(), d.nx, d.ny, d.boundary),
-            k => unreachable!("3-D kernel {k:?} sealed into a 2-D plan"),
-        }
-    }
-
-    /// The verification tolerance of the artifact's tier: bitwise for
-    /// the pinned tier, ULP-scale for fast math.
-    fn tolerance(&self) -> f32 {
-        match self.request.tier {
-            KernelTier::Bitwise => 0.0,
-            KernelTier::Fast => 1e-4,
-        }
-    }
-
-    fn outcome3(
-        &self,
-        grid: Grid3D,
+        grid: GridResult,
         elapsed: Duration,
         faults: Vec<FaultStats>,
         opts: ExecOptions,
     ) -> ExecOutcome {
-        let verified = opts.verify.then(|| {
-            let c = self.compiled3().expect("3-D outcome");
-            grid.max_abs_diff(&self.seq3(c.decomp())) <= self.tolerance()
-        });
         ExecOutcome {
+            verified: opts.verify.then(|| self.verdict(&grid)),
             cells_per_sec: self.cells() as f64 / elapsed.as_secs_f64().max(1e-12),
-            grid: GridResult::Dim3(grid),
+            grid,
             elapsed,
-            verified,
             faults,
         }
     }
+}
 
-    fn outcome2(
-        &self,
-        grid: Grid2D,
-        elapsed: Duration,
-        faults: Vec<FaultStats>,
-        opts: ExecOptions,
-    ) -> ExecOutcome {
-        let verified = opts.verify.then(|| {
-            let c = self.compiled2().expect("2-D outcome");
-            grid.max_abs_diff(&self.seq2(c.decomp())) <= self.tolerance()
-        });
-        ExecOutcome {
-            cells_per_sec: self.cells() as f64 / elapsed.as_secs_f64().max(1e-12),
-            grid: GridResult::Dim2(grid),
-            elapsed,
-            verified,
-            faults,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::compile;
+
+    const TIERS: [KernelTier; 2] = [KernelTier::Bitwise, KernelTier::Fast];
+
+    fn artifact3(tier: KernelTier) -> PlanArtifact {
+        compile(&PlanRequest::grid3(4, 4, 32, 2, 2).with_v(8).with_tier(tier)).expect("compiles")
+    }
+
+    fn artifact2(tier: KernelTier) -> PlanArtifact {
+        compile(&PlanRequest::strip2(24, 8, 2).with_v(6).with_tier(tier)).expect("compiles")
+    }
+
+    fn executed(a: &PlanArtifact) -> GridResult {
+        let out = a.execute(ExecOptions { verify: true }).expect("runs");
+        assert_eq!(out.verified, Some(true));
+        out.grid
+    }
+
+    #[test]
+    fn corrupted_grid_fails_on_both_tiers() {
+        for tier in TIERS {
+            let a = artifact3(tier);
+            let good = executed(&a).dim3().expect("3-D").clone();
+            for (i, j, k) in [(0, 0, 0), (1, 2, 17), (3, 3, 31)] {
+                for bad in [good.get(i, j, k) + 1.0, f32::NAN] {
+                    let mut g = good.clone();
+                    g.set(i as usize, j as usize, k as usize, bad);
+                    assert!(
+                        !a.verdict(&GridResult::Dim3(g)),
+                        "{tier:?} ({i},{j},{k}) = {bad}"
+                    );
+                }
+            }
+
+            let a = artifact2(tier);
+            let good = executed(&a).dim2().expect("2-D").clone();
+            for (i, j) in [(0, 0), (11, 5), (23, 7)] {
+                for bad in [good.get(i, j) + 1.0, f32::NAN] {
+                    let mut g = good.clone();
+                    g.set(i as usize, j as usize, bad);
+                    assert!(
+                        !a.verdict(&GridResult::Dim2(g)),
+                        "{tier:?} ({i},{j}) = {bad}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shape_mismatch_is_false_not_a_panic() {
+        for tier in TIERS {
+            let a = artifact3(tier);
+            for g in [
+                Grid3D::new(4, 4, 31, 0.0, 1.0),
+                Grid3D::new(4, 2, 32, 0.0, 1.0),
+                Grid3D::new(1, 1, 1, 0.0, 1.0),
+            ] {
+                assert!(!a.verdict(&GridResult::Dim3(g)), "{tier:?}");
+            }
+            assert!(!a.verdict(&GridResult::Dim2(Grid2D::new(4, 4, 0.0, 1.0))));
+
+            let a = artifact2(tier);
+            assert!(!a.verdict(&GridResult::Dim2(Grid2D::new(24, 4, 0.0, 1.0))));
+            assert!(!a.verdict(&GridResult::Dim3(Grid3D::new(24, 8, 1, 0.0, 1.0))));
         }
     }
 }

@@ -288,8 +288,9 @@ pub struct SmokeReport {
     pub compiles: u64,
     /// Warm-world reuses.
     pub worlds_reused: u64,
-    /// Executions whose result verified against the sequential
-    /// reference.
+    /// Executions whose grid passed verification (bitwise the
+    /// sequential sweep's on the pinned tier; see
+    /// [`crate::ExecOptions::verify`]).
     pub verified: u64,
 }
 
@@ -297,8 +298,8 @@ pub struct SmokeReport {
 /// mixed compile/execute load: `clients` client threads each submit
 /// `jobs_per_client` jobs drawn (by a fixed LCG) from a small set of
 /// plan shapes, so repeats hit the cache and concurrent first
-/// requests exercise single-flight. Execute jobs verify against the
-/// sequential reference.
+/// requests exercise single-flight. Execute jobs verify their grid
+/// (see [`crate::ExecOptions::verify`]).
 pub fn smoke(cfg: ServiceConfig, clients: usize, jobs_per_client: usize) -> SmokeReport {
     let service = PlanService::start(cfg);
     // Small shapes: the load measures service machinery, not kernels.

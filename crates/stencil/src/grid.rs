@@ -72,13 +72,11 @@ impl Grid2D {
     }
 
     /// Maximum absolute difference to another grid of the same shape.
+    /// Cells with equal bits differ by 0; any other NaN makes the result
+    /// NaN, so `<= tol` and `== 0.0` both fail on it.
     pub fn max_abs_diff(&self, other: &Grid2D) -> f32 {
         assert_eq!((self.nx, self.ny), (other.nx, other.ny), "shape mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
+        max_abs_diff(&self.data, &other.data)
     }
 }
 
@@ -170,19 +168,32 @@ impl Grid3D {
         &mut self.data[start..start + self.nz]
     }
 
-    /// Maximum absolute difference to another grid of the same shape.
+    /// Maximum absolute difference to another grid of the same shape,
+    /// with [`Grid2D::max_abs_diff`]'s NaN rule.
     pub fn max_abs_diff(&self, other: &Grid3D) -> f32 {
         assert_eq!(
             (self.nx, self.ny, self.nz),
             (other.nx, other.ny, other.nz),
             "shape mismatch"
         );
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max)
+        max_abs_diff(&self.data, &other.data)
     }
+}
+
+/// The largest `|a − b|` over paired cells. Bitwise-equal cells count 0
+/// (so equal NaNs and equal infinities do); a NaN difference from any
+/// other pair sticks, where `f32::max` would drop it.
+fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| {
+            if x.to_bits() == y.to_bits() {
+                0.0
+            } else {
+                (x - y).abs()
+            }
+        })
+        .fold(0.0, |m: f32, d| if m.is_nan() || m >= d { m } else { d })
 }
 
 #[cfg(test)]
@@ -219,6 +230,46 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b), 0.0);
         b.set(1, 1, 3.5);
         assert_eq!(a.max_abs_diff(&b), 2.5);
+    }
+
+    #[test]
+    fn max_abs_diff_nan_on_one_side_is_nan() {
+        let a = Grid3D::new(2, 2, 2, 1.0, 0.0);
+        let mut b = a.clone();
+        b.set(0, 1, 1, f32::NAN);
+        assert!(a.max_abs_diff(&b).is_nan());
+        assert!(b.max_abs_diff(&a).is_nan());
+        // A NaN early on is not washed out by a larger later difference.
+        b.set(1, 1, 1, 100.0);
+        assert!(a.max_abs_diff(&b).is_nan());
+        let mut c = Grid2D::new(3, 3, 1.0, 0.0);
+        c.set(2, 2, f32::NAN);
+        assert!(Grid2D::new(3, 3, 1.0, 0.0).max_abs_diff(&c).is_nan());
+    }
+
+    #[test]
+    fn max_abs_diff_same_nan_bits_is_zero() {
+        let mut a = Grid2D::new(2, 3, 1.0, 0.0);
+        a.set(1, 2, f32::NAN);
+        assert_eq!(a.max_abs_diff(&a.clone()), 0.0);
+        // A NaN with another payload is a difference.
+        let mut b = a.clone();
+        b.set(1, 2, f32::from_bits(f32::NAN.to_bits() | 1));
+        assert!(a.max_abs_diff(&b).is_nan());
+    }
+
+    #[test]
+    fn max_abs_diff_infinities() {
+        let mut a = Grid2D::new(2, 2, 1.0, 0.0);
+        a.set(0, 0, f32::INFINITY);
+        a.set(1, 1, f32::NEG_INFINITY);
+        assert_eq!(a.max_abs_diff(&a.clone()), 0.0);
+        let mut b = a.clone();
+        b.set(0, 0, f32::NEG_INFINITY);
+        assert_eq!(a.max_abs_diff(&b), f32::INFINITY);
+        let mut c = a.clone();
+        c.set(1, 1, 5.0);
+        assert_eq!(a.max_abs_diff(&c), f32::INFINITY);
     }
 
     #[test]

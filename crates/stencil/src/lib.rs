@@ -9,8 +9,9 @@
 //! [`engine::TileOps`] implementation per dimensionality, driven by a
 //! `tiling-core` `StepPlan` whose schedule type selects blocking or
 //! overlapped communication. [`decomp`] holds the shared decomposition
-//! arithmetic and typed validation errors. [`verify`] checks that every
-//! distributed run is bitwise identical to the sequential sweep.
+//! arithmetic and typed validation errors. [`verify`] checks that a
+//! grid is bitwise the sequential sweep's, either by checking every cell
+//! against the recurrence or by diffing against the sweep itself.
 //!
 //! Kernels (all single-assignment wavefront recurrences, so distributed
 //! results are exactly reproducible):
@@ -81,5 +82,8 @@ pub mod prelude {
     pub use crate::seq::{
         measure_t_c_paper3d, run_example1_seq, run_paper3d_seq, run_seq2d, run_seq3d,
     };
-    pub use crate::verify::{verify_example1, verify_paper3d, VerifyReport};
+    pub use crate::verify::{
+        satisfies_recurrence2d, satisfies_recurrence3d, verify_example1, verify_paper3d,
+        VerifyReport,
+    };
 }
